@@ -65,19 +65,11 @@ def test_validation_throughput(target_size, record, benchmark):
     expected = [bottom_up.accepts(doc) for doc in documents]
     bottom_up_seconds = time.perf_counter() - start
 
-    from repro.schemas.streaming import (
-        StreamingValidator,
-        events_of_tree,
-        validate_events,
-    )
+    from repro.schemas.streaming import events_of_tree, validate_events
 
     streams = [list(events_of_tree(doc)) for doc in documents]
-    shared_validator = StreamingValidator(schema)
     start = time.perf_counter()
-    streamed = [
-        validate_events(schema, stream, validator=shared_validator)
-        for stream in streams
-    ]
+    streamed = [validate_events(schema, stream) for stream in streams]
     streaming_seconds = time.perf_counter() - start
 
     assert answers == expected == streamed

@@ -5,9 +5,8 @@ The facade has two layers:
 * :func:`compile_schema` produces a frozen :class:`CompiledSchema`
   **handle** carrying everything about a schema that is worth paying for
   exactly once — the reduced schema, its structural fingerprint and
-  cache digests, the single-type classification, the hot integer-coded
-  validation tables of the arena runner, and (lazily) the derived
-  ancestor-string guide.  The handle's methods
+  cache digests, the single-type classification (which selects one-pass
+  top-down validation), and (lazily) the derived ancestor-string guide.  The handle's methods
   (:meth:`CompiledSchema.validate`, :meth:`~CompiledSchema.approximate_upper`,
   :meth:`~CompiledSchema.approximate_lower`,
   :meth:`~CompiledSchema.definability`, :meth:`~CompiledSchema.includes`,
@@ -73,18 +72,19 @@ from repro.core.decision import (
 )
 from repro.core.greedy import greedy_maximal_lower
 from repro.core.upper import minimal_upper_approximation
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ValidationError
 from repro.observability import Trace
 from repro.runtime.budget import Budget, resolve_budget
 from repro.schemas.edtd import EDTD
 from repro.schemas.inclusion import included_in_single_type
 from repro.schemas.st_edtd import SingleTypeEDTD
+from repro.schemas.streaming import StreamingValidator
 from repro.schemas.text_format import loads as _loads_schema
 from repro.schemas.type_automaton import is_single_type
 from repro.strings.kernels import _recharge
 from repro.tree_automata.inclusion import edtd_includes
 from repro.trees.tree import Tree
-from repro.trees.xml_io import from_xml
+from repro.trees.xml_io import END_EVENT, from_xml, iter_events
 
 __all__ = [
     "ApproximationResult",
@@ -424,6 +424,31 @@ def _guide_cache_key(guide: Any) -> Any:
     return "uncacheable" if key is None else key
 
 
+#: Events tokenized between two budget charges in :func:`_validate_text`.
+_INGEST_BATCH = 512
+
+
+def _validate_text(schema: SingleTypeEDTD, text: str, budget: Budget) -> tuple[bool, int]:
+    """(valid, elements) of *text* in one top-down pass over its tokens,
+    charging *budget* one step per element as they arrive.  Tokenizing
+    goes on after the document is found invalid, so malformed text
+    raises what :func:`from_xml` would (iter_events also checks that
+    exactly one root element closed, so no ``finish()`` is needed)."""
+    events = iter_events(text)
+    validator = StreamingValidator(schema)
+    valid, nodes = True, 0
+    while batch := list(itertools.islice(events, _INGEST_BATCH)):
+        elements = len(batch) - batch.count(END_EVENT)
+        nodes += elements
+        budget.tick(elements)
+        try:
+            if valid:
+                validator.feed_all(batch)
+        except ValidationError:
+            valid = False
+    return valid, nodes
+
+
 # ----------------------------------------------------------------------
 # The compile-once handle
 # ----------------------------------------------------------------------
@@ -439,10 +464,10 @@ class CompiledSchema:
     mutates the wrapped schema and exposes no setters — and carries the
     per-schema artifacts every call would otherwise recompute:
 
-    * ``schema`` — the original EDTD, kept alive so the integer-coded
-      validation tables of :mod:`repro.tree_automata.kernels` stay hot;
+    * ``schema`` — the original EDTD;
     * ``_reduced`` — the reduced schema (Proviso 2.3), computed once and
-      fed to every construction and to the arena validation runner;
+      fed to every construction and to validation; a
+      :class:`SingleTypeEDTD` exactly when the schema is single-type;
     * ``schema_id`` — a stable content address (structural fingerprint +
       strategy), the registry/service handle name; anonymous
       (``anon:N``) when the schema is structurally uncacheable;
@@ -504,26 +529,28 @@ class CompiledSchema:
         """Validate *document* (a :class:`Tree` or an element-only XML
         fragment string) against the compiled schema.
 
-        Runs on the reduced schema's hot arena tables.  The budget's
-        deadline/cancellation is checked once before the run (validation
-        itself charges nothing); *checkpoint* is accepted for
-        keyword-surface uniformity but unused.
+        Charges one step per element (after a deadline/cancellation
+        check), so the service's deadline_ms / max_steps have
+        deterministic trip points.  A single-type schema validates a
+        string as it is tokenized, so the budget covers parsing too;
+        other schemas run the arena kernel on :func:`from_xml`'s tree.
+        *checkpoint* is accepted for keyword-surface uniformity but unused.
         """
         del checkpoint  # no resumable phase
         with _FacadeCall("validate", budget, trace, self._call_cache(cache)) as call:
             with _obs.construction_span(
                 "validate", trace=call.trace, budget=call.budget
             ) as span:
-                tree = from_xml(document) if isinstance(document, str) else document
-                # Validation is linear: charge one step per node (after a
-                # deadline/cancellation check), so per-request deadlines
-                # and max_steps budgets — the service maps deadline_ms /
-                # max_steps here — have deterministic trip points.
                 call.budget.check()
-                call.budget.tick(tree.size())
-                valid = self._reduced.accepts(tree)
+                if isinstance(document, str) and isinstance(self._reduced, SingleTypeEDTD):
+                    valid, nodes = _validate_text(self._reduced, document, call.budget)
+                else:
+                    tree = from_xml(document) if isinstance(document, str) else document
+                    nodes = tree.size()
+                    call.budget.tick(nodes)
+                    valid = self._reduced.accepts(tree)
                 if span is not None:
-                    span.annotate(valid=valid, nodes=tree.size())
+                    span.annotate(valid=valid, nodes=nodes)
             return ValidationResult(valid=valid, trace=call.trace, usage=call.usage())
 
     def approximate_upper(
@@ -768,20 +795,16 @@ def _compile(
         # amortizes tables and reduction, it just cannot be deduplicated
         # or disk-addressed.
         schema_id = f"anon:{next(_ANON_IDS)}"
-    if reduced.types:
-        # Warm the integer-coded validation tables now; they live in a
-        # WeakKeyDictionary keyed by the reduced schema object, so the
-        # handle keeping `reduced` alive is what keeps them hot.
-        from repro.tree_automata.kernels import _tables_of
-
-        _tables_of(reduced)
+    single_type = is_single_type(schema)
+    if single_type and not isinstance(reduced, SingleTypeEDTD):
+        reduced = SingleTypeEDTD.from_edtd(reduced)  # selects top-down validation
     return CompiledSchema(
         schema=schema,
         schema_id=schema_id,
         strategy=strategy,
         _reduced=reduced,
         _key=key,
-        _is_single_type=is_single_type(schema),
+        _is_single_type=single_type,
         _cache=cache,
     )
 
@@ -799,8 +822,8 @@ def compile_schema(
     :class:`CompiledSchema` handle.
 
     Pays once for reduction, the structural fingerprint / content
-    address, the single-type classification, and the integer-coded arena
-    validation tables; every handle method then reuses them.  *strategy*
+    address and the single-type classification; every handle method
+    then reuses them.  *strategy*
     (``None`` = the active :class:`Settings` default) becomes the
     handle's default determinization kernel, and *cache* its default
     artifact store argument.  *checkpoint* is accepted for

@@ -20,7 +20,7 @@ point                     where it fires
 ``cache.read``            artifact-cache entry read (payload: raw entry bytes)
 ``cache.write``           artifact-cache entry write (payload: raw entry bytes)
 ``cache.fsync``           artifact-cache durability barrier before publish
-``xml.ingest``            :func:`repro.trees.xml_io.from_xml` (payload: the
+``xml.ingest``            :func:`repro.trees.xml_io.iter_events` (payload: the
                           document text)
 ========================  =====================================================
 

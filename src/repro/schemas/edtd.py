@@ -197,11 +197,10 @@ class EDTD:
         return bool(current & dfa.finals)
 
     def accepts(self, tree: Tree) -> bool:
-        """True iff ``tree`` is in ``L(D)``."""
-        if tree.label not in self.alphabet:
-            return False
-        if not tree.labels() <= self.alphabet:
-            return False
+        """True iff ``tree`` is in ``L(D)``.
+
+        One arena-kernel pass: a label outside the alphabet has no type,
+        so its node's mask is 0 and the root mask rejects."""
         from repro.tree_automata.kernels import edtd_accepts
 
         return edtd_accepts(self, tree)

@@ -15,6 +15,7 @@ from collections.abc import Hashable, Iterable, Mapping
 
 from repro.errors import NotSingleTypeError
 from repro.schemas.edtd import EDTD
+from repro.schemas.streaming import events_of_tree, validate_events
 from repro.schemas.type_automaton import is_single_type
 from repro.strings.dfa import DFA
 from repro.strings.nfa import NFA
@@ -81,32 +82,13 @@ class SingleTypeEDTD(EDTD):
     def validate_top_down(self, tree: Tree) -> bool:
         """Deterministic one-pass top-down validation.
 
-        Every node's type is computed from its parent's type and its label;
-        each node is visited once and its child string is run through one
-        content DFA.  Total time: O(|tree|) automaton steps.
+        Every node's type is computed from its parent's type and its label
+        the moment the node is entered, and each content model runs
+        incrementally: :func:`~repro.schemas.streaming.events_of_tree`
+        drives the :class:`~repro.schemas.streaming.StreamingValidator`.
+        Total time: O(|tree|) automaton steps.
         """
-        root_type = self._start_by_label.get(tree.label)
-        if root_type is None:
-            return False
-        stack: list[tuple[Tree, Type]] = [(tree, root_type)]
-        while stack:  # ungoverned: one content-DFA run per document node
-            node, type_ = stack.pop()
-            dfa = self.rules[type_]
-            state = dfa.initial
-            child_types: list[Type] = []
-            for child in node.children:
-                child_type = self._child_type.get((type_, child.label))
-                if child_type is None:
-                    return False
-                next_state = dfa.successor(state, child_type)
-                if next_state is None:
-                    return False
-                state = next_state
-                child_types.append(child_type)
-            if state not in dfa.finals:
-                return False
-            stack.extend(zip(node.children, child_types))
-        return True
+        return validate_events(self, events_of_tree(tree))
 
     def accepts(self, tree: Tree) -> bool:
         """Membership — overridden to use the fast top-down algorithm."""

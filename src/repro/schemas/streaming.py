@@ -12,103 +12,98 @@ type of every element is determined the moment its start tag arrives
         validator.feed(event)
     validator.finish()            # raises ValidationError on bad docs
 
-:func:`validate_events` and :func:`events_of_tree` are the functional
-conveniences; :func:`validate_xml_stream` plugs in the XML fragment reader.
+:class:`StreamingValidator` is the package's one top-down typing loop:
+:meth:`SingleTypeEDTD.validate_top_down` feeds it :func:`events_of_tree`,
+:func:`validate_xml_stream` feeds it the XML tokenizer
+:func:`repro.trees.xml_io.iter_events`, and so does
+:meth:`repro.api.CompiledSchema.validate` for single-type schemas.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-from repro.errors import ValidationError
-from repro.schemas.st_edtd import SingleTypeEDTD
+from repro.errors import TreeSyntaxError, ValidationError
 from repro.trees.tree import Tree
+from repro.trees.xml_io import END, END_EVENT, START, Event, iter_events
 
-Symbol = Hashable
-
-Event = tuple  # ("start", label) or ("end",)
-
-START = "start"
-END = "end"
+if TYPE_CHECKING:
+    from repro.schemas.st_edtd import SingleTypeEDTD
 
 
 class StreamingValidator:
     """Push-based one-pass validator for a single-type EDTD.
 
-    Raises :class:`ValidationError` eagerly, at the earliest event that
-    dooms the document; :meth:`finish` performs the end-of-document check.
-    Memory use is proportional to the maximal open-element depth.
+    Reads the schema's own ``(type, label) -> type`` tables, so building
+    one costs nothing per document.  Raises :class:`ValidationError`
+    eagerly, at the earliest event that dooms the document;
+    :meth:`finish` performs the end-of-document check.  Memory use is
+    proportional to the maximal open-element depth.
     """
 
     def __init__(self, schema: SingleTypeEDTD) -> None:
         self._schema = schema
-        self._start_by_label = {schema.mu[t]: t for t in schema.starts}
-        self._child_type: dict = {}
-        for type_ in schema.types:
-            for occurring in schema.occurring_types(type_):
-                self._child_type[(type_, schema.mu[occurring])] = occurring
-        # Stack frames: (type, content DFA, current DFA state).
+        # Stack frames: [type, content-DFA transitions, finals, DFA state].
         self._stack: list[list] = []
-        self._seen_root = False
-        self._done = False
-
-    def reset(self) -> None:
-        """Prepare the validator for a new document (tables are reused)."""
-        self._stack.clear()
-        self._seen_root = False
         self._done = False
 
     # ------------------------------------------------------------------
 
     def feed(self, event: Event) -> None:
         """Consume one event (``("start", label)`` or ``("end",)``)."""
-        if self._done:
-            raise ValidationError("content after the root element closed")
-        if event[0] == START:
-            self._feed_start(event[1])
-        elif event[0] == END:
-            self._feed_end()
-        else:
-            raise ValidationError(f"unknown event kind {event[0]!r}")
+        self.feed_all((event,))
 
-    def _feed_start(self, label: Symbol) -> None:
-        if not self._stack:
-            if self._seen_root:
-                raise ValidationError("second root element")
-            self._seen_root = True
-            type_ = self._start_by_label.get(label)
-            if type_ is None:
-                raise ValidationError(f"root element {label!r} not allowed")
-        else:
-            parent = self._stack[-1]
-            parent_type, parent_dfa, parent_state = parent
-            type_ = self._child_type.get((parent_type, label))
-            if type_ is None:
-                raise ValidationError(
-                    f"element {label!r} not allowed under "
-                    f"{self._schema.mu[parent_type]!r}"
-                )
-            next_state = parent_dfa.successor(parent_state, type_)
-            if next_state is None:
-                raise ValidationError(
-                    f"element {label!r} violates the content model of "
-                    f"{self._schema.mu[parent_type]!r} at this position"
-                )
-            parent[2] = next_state
-        dfa = self._schema.rules[type_]
-        self._stack.append([type_, dfa, dfa.initial])
-
-    def _feed_end(self) -> None:
-        if not self._stack:
-            raise ValidationError("unmatched end event")
-        type_, dfa, state = self._stack.pop()
-        if state not in dfa.finals:
-            raise ValidationError(
-                f"element {self._schema.mu[type_]!r} closed with an "
-                "incomplete content model"
-            )
-        if not self._stack:
-            self._done = True
+    def feed_all(self, events: Iterable[Event]) -> None:
+        """Consume *events* in order; the typing loop behind :meth:`feed`."""
+        schema = self._schema
+        start_by_label = schema._start_by_label
+        child_type = schema._child_type
+        rules = schema.rules
+        stack = self._stack
+        for event in events:  # ungoverned: one table step per event
+            kind = event[0]
+            if kind == START:
+                label = event[1]
+                if stack:
+                    frame = stack[-1]
+                    type_ = child_type.get((frame[0], label))
+                    if type_ is None:
+                        raise ValidationError(
+                            f"element {label!r} not allowed under "
+                            f"{schema.mu[frame[0]]!r}"
+                        )
+                    state = frame[1].get((frame[3], type_))
+                    if state is None:
+                        raise ValidationError(
+                            f"element {label!r} violates the content model of "
+                            f"{schema.mu[frame[0]]!r} at this position"
+                        )
+                    frame[3] = state
+                else:
+                    if self._done:
+                        raise ValidationError("content after the root element closed")
+                    type_ = start_by_label.get(label)
+                    if type_ is None:
+                        raise ValidationError(f"root element {label!r} not allowed")
+                dfa = rules[type_]
+                stack.append([type_, dfa.transitions, dfa.finals, dfa.initial])
+            elif kind == END:
+                if not stack:
+                    raise ValidationError(
+                        "content after the root element closed"
+                        if self._done
+                        else "unmatched end event"
+                    )
+                type_, _, finals, state = stack.pop()
+                if state not in finals:
+                    raise ValidationError(
+                        f"element {schema.mu[type_]!r} closed with an "
+                        "incomplete content model"
+                    )
+                self._done = not stack
+            else:
+                raise ValidationError(f"unknown event kind {kind!r}")
 
     def finish(self) -> None:
         """End-of-stream check."""
@@ -126,30 +121,25 @@ class StreamingValidator:
 
 
 def events_of_tree(tree: Tree) -> Iterator[Event]:
-    """The event stream of a document tree (depth-first)."""
+    """The event stream of a document tree (depth-first); iterative, so
+    documents of any depth stream without recursion."""
     yield (START, tree.label)
-    for child in tree.children:
-        yield from events_of_tree(child)
-    yield (END,)
+    pending = [iter(tree.children)]
+    while pending:  # ungoverned: one step per tree edge
+        child = next(pending[-1], None)
+        if child is None:
+            pending.pop()
+            yield END_EVENT
+        else:
+            yield (START, child.label)
+            pending.append(iter(child.children))
 
 
-def validate_events(
-    schema: SingleTypeEDTD,
-    events: Iterable[Event],
-    validator: StreamingValidator | None = None,
-) -> bool:
-    """One-pass validation of an event stream; returns a boolean.
-
-    Pass a prebuilt *validator* (it is reset first) to amortize the
-    schema-table construction over many documents.
-    """
-    if validator is None:
-        validator = StreamingValidator(schema)
-    else:
-        validator.reset()
+def validate_events(schema: SingleTypeEDTD, events: Iterable[Event]) -> bool:
+    """One-pass validation of an event stream; returns a boolean."""
+    validator = StreamingValidator(schema)
     try:
-        for event in events:
-            validator.feed(event)
+        validator.feed_all(events)
         validator.finish()
     except ValidationError:
         return False
@@ -157,36 +147,15 @@ def validate_events(
 
 
 def validate_xml_stream(schema: SingleTypeEDTD, text: str) -> bool:
-    """Validate an XML fragment without materializing the tree."""
-    import re as _re
+    """Validate an XML fragment without materializing the tree.
 
-    token = _re.compile(
-        r"\s*(?:<(?P<open>[A-Za-z_][\w.\-]*)\s*>"
-        r"|<(?P<selfclose>[A-Za-z_][\w.\-]*)\s*/\s*>"
-        r"|</(?P<close>[A-Za-z_][\w.\-]*)\s*>)"
-    )
-    validator = StreamingValidator(schema)
-    open_labels: list[str] = []
-    pos = 0
+    Reads *text* through :func:`~repro.trees.xml_io.iter_events` with
+    its DTD/entity/comment hardening but without the depth and node caps
+    (no tree is built); malformed input is simply invalid.
+    """
     try:
-        while pos < len(text):
-            if text[pos:].strip() == "":
-                break
-            match = token.match(text, pos)
-            if match is None:
-                return False
-            pos = match.end()
-            if match.group("open"):
-                open_labels.append(match.group("open"))
-                validator.feed((START, match.group("open")))
-            elif match.group("selfclose"):
-                validator.feed((START, match.group("selfclose")))
-                validator.feed((END,))
-            else:
-                if not open_labels or open_labels.pop() != match.group("close"):
-                    return False  # not well-formed
-                validator.feed((END,))
-        validator.finish()
-    except ValidationError:
+        return validate_events(
+            schema, iter_events(text, max_depth=None, max_nodes=None)
+        )
+    except TreeSyntaxError:
         return False
-    return True

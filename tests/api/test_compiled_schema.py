@@ -16,7 +16,7 @@ from repro.api import (
     schema_includes,
     validate,
 )
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, TreeSyntaxError
 from repro.families.hard import example_2_6
 from repro.observability import METRICS
 from repro.runtime import Budget
@@ -85,6 +85,18 @@ class TestHandleMethods:
         with pytest.raises(BudgetExceededError) as info:
             handle.validate(doc, budget=Budget(max_steps=2))
         assert info.value.reason == "max-steps"
+
+    def test_validate_budget_covers_ingest(self, store_schema):
+        # More elements than max_steps, and a syntax error only at the
+        # very end: max-steps trips before the parse gets there.
+        handle = compile_schema(store_schema)
+        doc = "<store>" + "<item><price/></item>" * 1000 + "</store"
+        with pytest.raises(TreeSyntaxError):
+            handle.validate(doc)
+        with pytest.raises(BudgetExceededError) as info:
+            handle.validate(doc, budget=Budget(max_steps=100))
+        assert info.value.reason == "max-steps"
+        assert info.value.progress.steps < 2001
 
     def test_approximations_match_free_functions(self):
         edtd = example_2_6()

@@ -81,10 +81,9 @@ class TestDeepValidation:
         assert not bottom_up.accepts(branchy)
 
     def test_streaming_validation(self, chain_schema, deep_chain):
-        from repro.schemas.streaming import validate_events
+        from repro.schemas.streaming import events_of_tree, validate_events
 
-        events = [("start", "a")] * DEPTH + [("end",)] * DEPTH
-        assert validate_events(chain_schema, events)
+        assert validate_events(chain_schema, events_of_tree(deep_chain))
 
     def test_typed_witness(self, chain_schema, deep_chain):
         bottom_up = EDTD(

@@ -74,6 +74,24 @@ class TestMembership:
     def test_rejects_foreign_label(self):
         assert not two_root_edtd().accepts(parse_tree("a(c)"))
 
+    def test_rejects_foreign_label_deep_in_the_tree(self):
+        # No alphabet pre-walk: the foreign leaf's empty type mask alone
+        # must make the root reject, as the reference inference says.
+        edtd = EDTD(
+            alphabet={"a"},
+            types={"t"},
+            rules={"t": "t*"},
+            starts={"t"},
+            mu={"t": "a"},
+        )
+        valid = parse_tree("a(a(a(a(a), a)), a)")
+        foreign = parse_tree("a(a(a(a(zz), a)), a)")
+        assert edtd.accepts(valid)
+        assert edtd.possible_types_reference(valid) == {"t"}
+        assert not edtd.accepts(foreign)
+        assert edtd.possible_types_reference(foreign) == frozenset()
+        assert edtd.possible_types(foreign) == frozenset()
+
     def test_possible_types(self):
         edtd = two_root_edtd()
         assert edtd.possible_types(parse_tree("a(b, b)")) == {"r1", "r2"}

@@ -98,6 +98,22 @@ class TestThreeValuedDegradation:
         assert row["error"]["type"] == "BudgetExceededError"
         assert row["error"]["reason"] == "max-steps"
 
+    def test_budget_trips_while_a_single_type_document_streams_in(
+        self, store_schema
+    ):
+        # 2001 elements, malformed only at the very end: the budget must
+        # trip during ingest, before the syntax error is reached.
+        document = "<store>" + "<item><price/></item>" * 1000 + "</store"
+
+        async def scenario():
+            service = ValidationService(capacity=4)
+            info = await service.register_schema(dumps(store_schema))
+            return await service.validate(info["schema_id"], document, max_steps=100)
+
+        row = run(scenario())
+        assert row["verdict"] == "unknown"
+        assert row["error"]["reason"] == "max-steps"
+
     def test_batch_partial_prefix_mid_trip(self):
         async def scenario():
             service = ValidationService(capacity=4)
